@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use approxrank_engine::{BatchConfig, DeltaGraph, DeltaShardView, Engine, EngineConfig};
+use approxrank_engine::{DeltaGraph, DeltaShardView, Engine, EngineConfig};
 use approxrank_graph::assign_shards;
 use approxrank_rpc::{RemoteConfig, ShardServer};
 use approxrank_serve::{on_shutdown_signal, ServeConfig, Server};
@@ -40,20 +40,9 @@ pub fn config_from(args: &ServeArgs) -> ServeConfig {
         trace_ring: ServeConfig::default().trace_ring,
         remote_shards: args.remote_shards.clone(),
         rpc: rpc_config_from(args),
-        batch: batch_config_from(args),
         tenant_quota: args.tenant_quota,
         tenant_queue: args.tenant_queue,
         labels: args.labels.as_ref().map(std::path::PathBuf::from),
-    }
-}
-
-/// Translates the `--batch-*` flags into a [`BatchConfig`]. Shared by
-/// the HTTP tier and shard servers so a remote deployment coalesces
-/// exactly like a local one.
-pub fn batch_config_from(args: &ServeArgs) -> BatchConfig {
-    BatchConfig {
-        gather_window: Duration::from_millis(args.batch_window_ms),
-        max_columns: args.batch_columns,
     }
 }
 
@@ -149,7 +138,6 @@ fn run_shard_server(args: &ServeArgs, k: u32) -> Result<String, String> {
         fsync: args.fsync,
         first_session_id: k as u64 + 1,
         session_id_stride: shards as u64,
-        batch: batch_config_from(args),
     };
     let engine = Arc::new(Engine::new_delta_shard(view, config));
     if let Some(dir) = &args.data_dir {
@@ -212,8 +200,6 @@ mod tests {
             rpc_attempts: 4,
             rpc_backoff_ms: 30,
             rpc_health_interval_ms: 700,
-            batch_window_ms: 4,
-            batch_columns: 16,
             tenant_quota: 3,
             tenant_queue: 9,
             labels: Some("pages.txt".into()),
@@ -239,8 +225,6 @@ mod tests {
         assert_eq!(c.slow_ms, Some(25));
         assert_eq!(c.trace_ring, ServeConfig::default().trace_ring);
         assert!(c.remote_shards.is_empty());
-        assert_eq!(c.batch.gather_window, Duration::from_millis(4));
-        assert_eq!(c.batch.max_columns, 16);
         assert_eq!(c.tenant_quota, 3);
         assert_eq!(c.tenant_queue, 9);
         assert_eq!(c.labels.as_deref(), Some(std::path::Path::new("pages.txt")));

@@ -9,7 +9,7 @@
 
 use approxrank_exec::{Executor, Partition};
 use approxrank_graph::{DiGraph, Subgraph};
-use approxrank_pagerank::{emit_exec_stats, PageRankOptions};
+use approxrank_pagerank::{emit_exec_stats, PageRankOptions, PageRankResult};
 use approxrank_trace::Observer;
 
 use crate::extended::ExtendedLocalGraph;
@@ -232,63 +232,9 @@ impl ApproxRank {
         scores
     }
 
-    /// Runs a *batch* of (optionally personalized) ApproxRank queries
-    /// over one collapsed structure built from shard-carried aggregates.
-    /// The Λ-row assembly and every CSR sweep are shared across the
-    /// batch, while each answer is bit-identical to the singleton
-    /// aggregated path with the same personalization: column `j` with
-    /// `None` reproduces [`Self::rank_subgraph_aggregated_observed`],
-    /// and a `Some(p)` column reproduces a
-    /// [`ExtendedLocalGraph::solve_personalized`] on `p` (the keyword
-    /// entry — see
-    /// [`ExtendedLocalGraph::collapse_sparse_personalization`]).
-    ///
-    /// `None` means the paper's default Equation (5) vector. Each
-    /// `Some` vector must already be collapsed to length `n + 1`.
-    pub fn rank_subgraph_multi_aggregated_observed(
-        &self,
-        agg: GlobalAggregates,
-        subgraph: &Subgraph,
-        personalizations: &[Option<Vec<f64>>],
-        obs: &dyn Observer,
-    ) -> Vec<RankScores> {
-        let exec = self.executor(subgraph);
-        let ext = {
-            let _span = obs.span("collapse_lambda");
-            self.extended_graph_aggregated_on(agg, subgraph, &exec)
-        };
-        let ps: Vec<Vec<f64>> = personalizations
-            .iter()
-            .map(|p| p.clone().unwrap_or_else(|| ext.personalization()))
-            .collect();
-        let results = ext.solve_multi(&self.options, &ps, obs);
-        emit_exec_stats(&exec, obs);
-        let n = subgraph.len();
-        results
-            .into_iter()
-            .map(|result| {
-                let mut scores = result.scores;
-                let lambda = scores.pop().expect("n+1 states");
-                debug_assert_eq!(scores.len(), n);
-                RankScores {
-                    local_scores: scores,
-                    lambda_score: Some(lambda),
-                    iterations: result.iterations,
-                    converged: result.converged,
-                    estimate: None,
-                }
-            })
-            .collect()
-    }
-
-    /// A batch of *keyword* queries over one subgraph: each base set
-    /// becomes a column whose personalization teleports uniformly into
-    /// the base (ObjectRank-style, `1/|B|` per base page; base pages
-    /// outside the subgraph contribute their share to `Λ` — see
-    /// [`ExtendedLocalGraph::collapse_sparse_personalization`]). One
-    /// Λ-collapse and one CSR walk per iteration serve every column,
-    /// and each column is bit-identical to a singleton personalized
-    /// solve of the same base set.
+    /// A batch of *keyword* queries over one subgraph: one Λ-collapse,
+    /// then one [`Self::rank_keyword_on`] solve per base set. Each answer
+    /// is exactly what a singleton request for its base set computes.
     ///
     /// Every base set must be strictly sorted, non-empty, and within the
     /// global graph.
@@ -304,31 +250,34 @@ impl ApproxRank {
             let _span = obs.span("collapse_lambda");
             self.extended_graph_aggregated_on(agg, subgraph, &exec)
         };
-        let ps: Vec<Vec<f64>> = bases
-            .iter()
-            .map(|base| {
-                assert!(!base.is_empty(), "keyword base set must be non-empty");
-                ext.collapse_sparse_personalization(subgraph.nodes(), base, 1.0 / base.len() as f64)
-            })
-            .collect();
-        let results = ext.solve_multi(&self.options, &ps, obs);
         emit_exec_stats(&exec, obs);
-        let n = subgraph.len();
-        results
-            .into_iter()
-            .map(|result| {
-                let mut scores = result.scores;
-                let lambda = scores.pop().expect("n+1 states");
-                debug_assert_eq!(scores.len(), n);
-                RankScores {
-                    local_scores: scores,
-                    lambda_score: Some(lambda),
-                    iterations: result.iterations,
-                    converged: result.converged,
-                    estimate: None,
-                }
-            })
+        bases
+            .iter()
+            .map(|base| self.rank_keyword_on(&ext, subgraph, base, obs))
             .collect()
+    }
+
+    /// Scores one *keyword* query on an already built collapse: the
+    /// personalization teleports uniformly into the base set
+    /// (ObjectRank-style, `1/|B|` per base page; base pages outside the
+    /// subgraph contribute their share to `Λ` — see
+    /// [`ExtendedLocalGraph::collapse_sparse_personalization`]). The
+    /// collapse reads neither damping nor tolerance, so one `ext` serves
+    /// keyword queries under any options.
+    ///
+    /// `base` must be strictly sorted, non-empty, and within the global
+    /// graph.
+    pub fn rank_keyword_on(
+        &self,
+        ext: &ExtendedLocalGraph,
+        subgraph: &Subgraph,
+        base: &[u32],
+        obs: &dyn Observer,
+    ) -> RankScores {
+        assert!(!base.is_empty(), "keyword base set must be non-empty");
+        let p =
+            ext.collapse_sparse_personalization(subgraph.nodes(), base, 1.0 / base.len() as f64);
+        split_lambda(ext.solve_personalized_observed(&self.options, &p, obs))
     }
 
     fn solve_scores(
@@ -339,16 +288,22 @@ impl ApproxRank {
     ) -> RankScores {
         let result = ext.solve_observed(options, obs);
         let _span = obs.span("normalize");
-        let mut scores = result.scores;
-        let lambda = scores.pop().expect("n+1 states");
-        debug_assert_eq!(scores.len(), n);
-        RankScores {
-            local_scores: scores,
-            lambda_score: Some(lambda),
-            iterations: result.iterations,
-            converged: result.converged,
-            estimate: None,
-        }
+        let scores = split_lambda(result);
+        debug_assert_eq!(scores.local_scores.len(), n);
+        scores
+    }
+}
+
+/// Splits an `n + 1`-state solution into local scores and `Λ`'s score.
+fn split_lambda(result: PageRankResult) -> RankScores {
+    let mut scores = result.scores;
+    let lambda = scores.pop().expect("n+1 states");
+    RankScores {
+        local_scores: scores,
+        lambda_score: Some(lambda),
+        iterations: result.iterations,
+        converged: result.converged,
+        estimate: None,
     }
 }
 
@@ -470,37 +425,34 @@ mod tests {
     }
 
     #[test]
-    fn multi_aggregated_batch_matches_singletons_bitwise() {
-        // The batch-serving contract: a batched column answers exactly
-        // what the singleton aggregated path answers — default and
-        // keyword-personalized columns alike.
+    fn keyword_batch_matches_personalized_solves_bitwise() {
+        // One collapse, k base sets: each answer is exactly a singleton
+        // personalized solve on the same collapse.
         let g = figure4();
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let approx = ApproxRank::new(tight());
         let agg = GlobalAggregates::compute(&g);
         let ext = approx.extended_graph_aggregated(agg, &sub);
-        // Base set {2, 3, 5}: a keyword query whose base straddles the
-        // subgraph boundary.
-        let kw = ext.collapse_sparse_personalization(sub.nodes(), &[2, 3, 5], 1.0 / 3.0);
-        let batch = approx.rank_subgraph_multi_aggregated_observed(
+        // {2, 3, 5} straddles the subgraph boundary.
+        let bases = [vec![2u32, 3, 5], vec![0], vec![2, 3, 5]];
+        let batch = approx.rank_keyword_multi_aggregated_observed(
             agg,
             &sub,
-            &[None, Some(kw.clone()), None],
+            &bases,
             approxrank_trace::null(),
         );
         assert_eq!(batch.len(), 3);
-        let default_single = approx.rank_subgraph_aggregated(agg, &sub);
-        assert_eq!(batch[0], default_single);
-        assert_eq!(batch[2], default_single);
-        let kw_single = ext.solve_personalized(&tight(), &kw);
-        for (a, b) in batch[1].local_scores.iter().zip(&kw_single.scores) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(batch[0], batch[2]);
+        for (base, answer) in bases.iter().zip(&batch) {
+            let p = ext.collapse_sparse_personalization(sub.nodes(), base, 1.0 / base.len() as f64);
+            let single = ext.solve_personalized(&tight(), &p);
+            let mut bits: Vec<u64> = answer.local_scores.iter().map(|x| x.to_bits()).collect();
+            bits.push(answer.lambda_score.unwrap().to_bits());
+            let expect: Vec<u64> = single.scores.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, expect);
+            assert_eq!(answer.iterations, single.iterations);
         }
-        assert_eq!(
-            batch[1].lambda_score.unwrap().to_bits(),
-            kw_single.scores[sub.len()].to_bits()
-        );
-        assert_eq!(batch[1].iterations, kw_single.iterations);
+        assert_ne!(batch[0], batch[1]);
     }
 
     #[test]

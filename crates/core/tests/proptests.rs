@@ -103,13 +103,12 @@ proptest! {
         prop_assert_eq!(a1, a2);
     }
 
-    /// The batched keyword contract one layer up from the raw power
-    /// iteration: a k-base-set multi-column keyword solve over one
-    /// Λ-collapse answers every column bitwise identically to k
-    /// one-column solves — on random graphs, random memberships, and
-    /// random base sets. This is the identity the engine's batch
-    /// scheduler relies on when it coalesces concurrent `/keyword`
-    /// requests.
+    /// The shared-collapse keyword contract: k base sets solved over one
+    /// Λ-collapse answer each base set bitwise identically to a
+    /// one-base-set call that builds its own collapse — on random
+    /// graphs, random memberships, and random base sets. This is the
+    /// identity the engine relies on when concurrent `/keyword` requests
+    /// share a collapse.
     #[test]
     fn keyword_batch_is_bitwise_singleton(
         (g, set) in graph_and_subgraph(),

@@ -17,7 +17,7 @@ use approxrank_trace::{Observer, Stopwatch};
 use approxrank_walk::{LocalPushRank, McApproxRank, McSession};
 
 use crate::algorithm::Algorithm;
-use crate::batch::{BatchConfig, BatchScheduler, BatchStats, GatherKey, KeywordSlot, RankSlot};
+use crate::batch::{BatchScheduler, BatchStats, Collapse, Slot};
 use crate::cache::{cache_key, estimator_bits, CacheKey, CacheStats, CachedResult, ShardedCache};
 
 /// Tunables an [`Engine`] is built with.
@@ -33,8 +33,6 @@ pub struct EngineConfig {
     /// engines gives engine `k` `first = k+1, stride = S`, so ids are
     /// disjoint and `(id-1) % S` recovers the owner.
     pub session_id_stride: u64,
-    /// Coalescing knobs for the engine-internal `BatchScheduler`.
-    pub batch: BatchConfig,
 }
 
 impl Default for EngineConfig {
@@ -44,7 +42,6 @@ impl Default for EngineConfig {
             fsync: FsyncPolicy::Interval(std::time::Duration::from_millis(100)),
             first_session_id: 1,
             session_id_stride: 1,
-            batch: BatchConfig::default(),
         }
     }
 }
@@ -317,8 +314,8 @@ pub struct Engine {
     pub(crate) store: OnceLock<Arc<SessionStore>>,
     /// WAL appends that failed (disk trouble); surfaced on `/metrics`.
     pub(crate) wal_errors: AtomicU64,
-    /// Coalesces concurrent identical cold solves and batches keyword
-    /// queries into multi-vector solves.
+    /// Coalesces concurrent identical cold solves and shares one
+    /// Λ-collapse among concurrent keyword queries over a membership.
     pub(crate) batch: BatchScheduler,
 }
 
@@ -401,7 +398,7 @@ impl Engine {
             next_session_id: AtomicU64::new(config.first_session_id),
             store: OnceLock::new(),
             wal_errors: AtomicU64::new(0),
-            batch: BatchScheduler::new(config.batch.clone()),
+            batch: BatchScheduler::new(),
             backend,
             config,
         }
@@ -655,15 +652,15 @@ impl Engine {
         }
         // Coalesce concurrent identical cold requests: the first arrival
         // leads and solves; the rest wait for its bits.
-        let lease = match self.batch.join_rank(key.clone()) {
-            RankSlot::Follower(flight) => {
+        let lease = match self.batch.rank.join(key.clone()) {
+            Slot::Follower(flight) => {
                 let result = flight.wait()?;
                 return Ok(RankOutcome {
                     result,
                     cached: true,
                 });
             }
-            RankSlot::Leader(lease) => lease,
+            Slot::Leader(lease) => lease,
         };
         let outcome = {
             let _solve_span = obs.span("engine.solve");
@@ -694,10 +691,10 @@ impl Engine {
     /// Ranks a subgraph under a *keyword* personalization: ApproxRank's
     /// Λ-collapse solved with the ObjectRank teleport (uniform over the
     /// base set; base pages outside the membership feed `Λ`). Concurrent
-    /// keyword queries over the same (epoch, options, membership) gather
-    /// into one multi-vector solve — each column bit-identical to a
-    /// singleton solve of its base set — behind a bounded window
-    /// ([`BatchConfig::gather_window`]).
+    /// keyword queries over the same (effective epoch, membership) share
+    /// one extraction and Λ-collapse — the first arrival builds it, the
+    /// rest wait for it — and then each solves its own base set, so every
+    /// answer is bit-identical to a request served alone.
     ///
     /// The engine does **not** memoize keyword answers (the result cache
     /// is keyed by membership, which cannot carry a base set); callers
@@ -706,20 +703,6 @@ impl Engine {
     pub fn keyword_rank(
         &self,
         params: &KeywordRequest,
-        obs: &dyn Observer,
-    ) -> Result<CachedResult, EngineError> {
-        self.keyword_rank_with(params, true, obs)
-    }
-
-    /// [`keyword_rank`](Engine::keyword_rank) with an explicit batch
-    /// hint. `coalesce: false` skips the gather window and solves the
-    /// one base set immediately — what the RPC server uses when a caller
-    /// sent `coalesce: false` on the wire, and what latency-critical
-    /// singleton callers want. The answer is bit-identical either way.
-    pub fn keyword_rank_with(
-        &self,
-        params: &KeywordRequest,
-        coalesce: bool,
         obs: &dyn Observer,
     ) -> Result<CachedResult, EngineError> {
         if params.base.is_empty() {
@@ -738,80 +721,45 @@ impl Engine {
             )));
         }
         self.check_owned(&params.members)?;
-        if !coalesce {
-            let _solve_span = obs.span("engine.keyword_solve");
-            let results = self.solve_keyword_columns(
-                &params.members,
-                std::slice::from_ref(&params.base),
-                params.damping,
-                params.tolerance,
-                obs,
-            )?;
-            let result = results.into_iter().next().expect("one column in, one out");
-            obs.counter("solve_iterations", result.iterations as u64);
-            return Ok(result);
-        }
-        let key = GatherKey {
-            epoch: self.effective_epoch(&params.members),
-            damping_bits: params.damping.to_bits(),
-            tolerance_bits: params.tolerance.to_bits(),
-            members: params.members[..].into(),
-        };
-        match self.batch.join_keyword(key, params.base.clone()) {
-            follower @ KeywordSlot::Follower { .. } => follower.wait(),
-            KeywordSlot::Leader(lease) => {
-                let columns = lease.gather_columns();
-                let outcome = {
-                    let _solve_span = obs.span("engine.keyword_solve");
-                    self.solve_keyword_columns(
-                        &params.members,
-                        &columns,
-                        params.damping,
-                        params.tolerance,
-                        obs,
-                    )
-                };
-                // The leader's own base set is column 0 by construction.
-                let own = outcome
-                    .as_ref()
-                    .map(|results| results[0].clone())
-                    .map_err(Clone::clone);
-                lease.finish(outcome);
-                if let Ok(result) = &own {
-                    obs.counter("solve_iterations", result.iterations as u64);
-                }
-                own
-            }
-        }
+        let collapse = self.shared_collapse(&params.members, obs)?;
+        let _solve_span = obs.span("engine.keyword_solve");
+        let (subgraph, ext) = collapse.as_ref();
+        let options = options_for(params.damping, params.tolerance);
+        let scores = ApproxRank::new(options).rank_keyword_on(ext, subgraph, &params.base, obs);
+        self.batch.record_keyword_answer();
+        obs.counter("solve_iterations", scores.iterations as u64);
+        Ok(to_cached(&params.members, scores))
     }
 
-    /// One multi-vector keyword solve: extract the membership once,
-    /// collapse once, iterate every base-set column together. Runs on
-    /// any backend — the Λ-collapse consumes only the subgraph view and
+    /// The membership's extracted subgraph and Λ-collapse, built once
+    /// for all concurrent keyword requests that ask for it. Runs on any
+    /// backend — the collapse consumes only the subgraph view and
     /// [`GlobalAggregates`], so shard answers match global answers
     /// bit-for-bit, exactly as for `/rank`.
-    fn solve_keyword_columns(
+    fn shared_collapse(
         &self,
         members: &[u32],
-        columns: &[Vec<u32>],
-        damping: f64,
-        tolerance: f64,
         obs: &dyn Observer,
-    ) -> Result<Vec<CachedResult>, EngineError> {
-        let options = options_for(damping, tolerance);
-        let source: &dyn SubgraphSource = self.source();
-        let nodes = NodeSet::from_sorted(source.global_nodes(), members.iter().copied());
-        let subgraph = source.extract_nodes(nodes);
-        let agg = GlobalAggregates {
-            num_nodes: source.global_nodes(),
-            num_dangling: source.num_dangling(),
+    ) -> Result<Collapse, EngineError> {
+        let key = (self.effective_epoch(members), members.to_vec());
+        let lease = match self.batch.collapse.join(key) {
+            Slot::Follower(flight) => return flight.wait(),
+            Slot::Leader(lease) => lease,
         };
-        let batch = ApproxRank::new(options)
-            .rank_keyword_multi_aggregated_observed(agg, &subgraph, columns, obs);
-        Ok(batch
-            .into_iter()
-            .map(|scores| to_cached(members, scores))
-            .collect())
+        let collapse = {
+            let _build_span = obs.span("engine.keyword_solve");
+            let source: &dyn SubgraphSource = self.source();
+            let nodes = NodeSet::from_sorted(source.global_nodes(), members.iter().copied());
+            let subgraph = source.extract_nodes(nodes);
+            let agg = GlobalAggregates {
+                num_nodes: source.global_nodes(),
+                num_dangling: source.num_dangling(),
+            };
+            let ext = ApproxRank::default().extended_graph_aggregated(agg, &subgraph);
+            Arc::new((subgraph, ext))
+        };
+        lease.finish(Ok(Arc::clone(&collapse)));
+        Ok(collapse)
     }
 
     /// The cache key a session's current membership occupies, at the
@@ -1183,6 +1131,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
     use approxrank_graph::{PartitionStrategy, PartitionedGraph};
     use approxrank_trace::null;
 
@@ -1313,59 +1263,156 @@ mod tests {
         assert!(matches!(err, EngineError::BadRequest(ref m) if m.contains("not on shard")));
     }
 
-    #[test]
-    fn concurrent_keyword_queries_gather_into_one_solve() {
-        let g = ring(200);
-        let engine = Arc::new(Engine::new_global(
-            Arc::new(g.clone()),
-            EngineConfig {
-                batch: crate::batch::BatchConfig {
-                    gather_window: std::time::Duration::from_millis(200),
-                    max_columns: 2,
-                },
-                ..EngineConfig::default()
-            },
-        ));
-        let members: Vec<u32> = (10..60).collect();
-        let req_of = |base: Vec<u32>| KeywordRequest {
-            members: members.clone(),
+    /// An observer that parks the first `engine.keyword_solve` span it
+    /// sees — the collapse leader's build — until the test releases it,
+    /// then lets the build finish or panics inside it.
+    struct BuildGate {
+        gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+        panic: bool,
+    }
+
+    impl approxrank_trace::Observer for BuildGate {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, event: approxrank_trace::Event) {
+            let approxrank_trace::Event::SpanStart { name } = event else {
+                return;
+            };
+            if name != "engine.keyword_solve" {
+                return;
+            }
+            let Some((entered, release)) = self.gate.lock().unwrap().take() else {
+                return;
+            };
+            entered.send(()).unwrap();
+            release.recv().unwrap();
+            assert!(!self.panic, "collapse build failed");
+        }
+    }
+
+    /// Runs one keyword request as the collapse leader, parked in its
+    /// build, and a second as a follower; releases the leader only once
+    /// the follower has joined. Returns both outcomes.
+    #[allow(clippy::type_complexity)]
+    fn leader_and_follower(
+        engine: &Arc<Engine>,
+        leader: KeywordRequest,
+        follower: KeywordRequest,
+        panic: bool,
+    ) -> (
+        std::thread::Result<Result<CachedResult, EngineError>>,
+        Result<CachedResult, EngineError>,
+    ) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gate = BuildGate {
+            gate: Mutex::new(Some((entered_tx, release_rx))),
+            panic,
+        };
+        let lead = {
+            let engine = Arc::clone(engine);
+            std::thread::spawn(move || engine.keyword_rank(&leader, &gate))
+        };
+        entered_rx.recv().unwrap();
+        let follow = {
+            let engine = Arc::clone(engine);
+            std::thread::spawn(move || engine.keyword_rank(&follower, null()))
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while engine.batch_stats().keyword_coalesced == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the follower never joined the leader's collapse"
+            );
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        (lead.join(), follow.join().unwrap())
+    }
+
+    fn keyword_req(members: &[u32], base: Vec<u32>) -> KeywordRequest {
+        KeywordRequest {
+            members: members.to_vec(),
             base,
             damping: 0.85,
             tolerance: 1e-8,
-        };
-        // Two concurrent queries with different bases: the gather fills
-        // to max_columns and solves once with two columns.
-        let worker = {
-            let engine = Arc::clone(&engine);
-            let req = req_of(vec![20, 21]);
-            std::thread::spawn(move || engine.keyword_rank(&req, null()))
-        };
-        let a = engine.keyword_rank(&req_of(vec![15]), null()).unwrap();
-        let b = worker.join().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    fn concurrent_keyword_queries_share_one_collapse() {
+        let g = ring(200);
+        let engine = Arc::new(Engine::new_global(
+            Arc::new(g.clone()),
+            EngineConfig::default(),
+        ));
+        let members: Vec<u32> = (10..60).collect();
+        let (a, b) = leader_and_follower(
+            &engine,
+            keyword_req(&members, vec![15]),
+            keyword_req(&members, vec![20, 21, 150]),
+            false,
+        );
+        let (a, b) = (a.unwrap().unwrap(), b.unwrap());
         let stats = engine.batch_stats();
         assert_eq!(stats.keyword_solves, 1, "{stats:?}");
         assert_eq!(stats.keyword_columns, 2, "{stats:?}");
         assert_eq!(stats.keyword_coalesced, 1, "{stats:?}");
-        // Each gathered answer is bit-identical to an unbatched solve on
-        // a fresh engine with gathering disabled.
-        let solo = Engine::new_global(
-            Arc::new(g),
-            EngineConfig {
-                batch: crate::batch::BatchConfig {
-                    gather_window: std::time::Duration::ZERO,
-                    max_columns: 1,
-                },
-                ..EngineConfig::default()
-            },
+        // Each shared-collapse answer is bit-identical to the core entry
+        // point solving its base set alone.
+        let sub = approxrank_graph::Subgraph::extract(
+            &g,
+            NodeSet::from_sorted(g.num_nodes(), members.iter().copied()),
         );
-        for (batched, base) in [(&a, vec![15]), (&b, vec![20, 21])] {
-            let single = solo.keyword_rank(&req_of(base), null()).unwrap();
-            assert_eq!(single.iterations, batched.iterations);
-            for ((pa, sa), (pb, sb)) in batched.scores.iter().zip(single.scores.iter()) {
-                assert_eq!(pa, pb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "page {pa}");
-            }
+        let agg = GlobalAggregates::compute(&g);
+        for (served, base) in [(&a, vec![15]), (&b, vec![20, 21, 150])] {
+            let alone = ApproxRank::new(options_for(0.85, 1e-8))
+                .rank_keyword_multi_aggregated_observed(agg, &sub, &[base], null())
+                .pop()
+                .unwrap();
+            assert_eq!(served.iterations, alone.iterations);
+            assert_eq!(
+                served.lambda.map(f64::to_bits),
+                alone.lambda_score.map(f64::to_bits)
+            );
+            let pages: Vec<u32> = served.scores.iter().map(|&(p, _)| p).collect();
+            assert_eq!(pages, members);
+            let bits: Vec<u64> = served.scores.iter().map(|&(_, s)| s.to_bits()).collect();
+            let expect: Vec<u64> = alone.local_scores.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(bits, expect);
         }
+        // The flight is gone once published: a later query builds anew.
+        engine
+            .keyword_rank(&keyword_req(&members, vec![15]), null())
+            .unwrap();
+        assert_eq!(engine.batch_stats().keyword_solves, 2);
+    }
+
+    #[test]
+    fn panicking_collapse_leader_releases_followers() {
+        let engine = Arc::new(Engine::new_global(
+            Arc::new(ring(200)),
+            EngineConfig::default(),
+        ));
+        let members: Vec<u32> = (30..90).collect();
+        let (lead, follow) = leader_and_follower(
+            &engine,
+            keyword_req(&members, vec![31]),
+            keyword_req(&members, vec![40]),
+            true,
+        );
+        assert!(lead.is_err(), "the leader's build panicked");
+        assert!(
+            matches!(follow, Err(EngineError::Unavailable(_))),
+            "{follow:?}"
+        );
+        // The aborted flight left no entry behind.
+        engine
+            .keyword_rank(&keyword_req(&members, vec![40]), null())
+            .unwrap();
+        assert_eq!(engine.batch_stats().keyword_solves, 2);
     }
 
     #[test]

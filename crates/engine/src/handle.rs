@@ -34,9 +34,9 @@ pub trait EngineHandle: Send + Sync {
     fn rank(&self, params: &RankRequest, obs: &dyn Observer) -> Result<RankOutcome, EngineError>;
 
     /// Ranks a member list under a keyword (base-set) personalization —
-    /// ObjectRank's teleport over ApproxRank's Λ-collapse. Engines batch
-    /// concurrent keyword queries into one multi-vector solve; see
-    /// [`Engine::keyword_rank`].
+    /// ObjectRank's teleport over ApproxRank's Λ-collapse. Engines share
+    /// one collapse among concurrent keyword queries over a membership;
+    /// see [`Engine::keyword_rank`].
     fn keyword_rank(
         &self,
         params: &KeywordRequest,

@@ -43,7 +43,7 @@ mod persist;
 pub use algorithm::Algorithm;
 pub use approxrank_core::Estimate;
 pub use approxrank_delta::{DeltaGraph, DeltaShardView, MutationSummary};
-pub use batch::{BatchConfig, BatchStats};
+pub use batch::BatchStats;
 pub use cache::{cache_key, estimator_bits, CacheKey, CacheStats, CachedResult, ShardedCache};
 pub use engine::{
     Engine, EngineConfig, EngineError, EngineSession, EstimatorOptions, KeywordRequest,

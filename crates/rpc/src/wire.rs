@@ -29,13 +29,12 @@ use approxrank_store::crc32;
 ///
 /// v4: every request preamble carries a tenant string after the trace
 /// id (empty for untenanted callers), and the `KEYWORD` opcode ranks a
-/// subgraph under a keyword base-set personalization. The `KEYWORD`
-/// payload carries a `coalesce` batch hint: `true` lets the serving
-/// engine hold the request for its gather window and answer it from a
-/// shared multi-vector solve; `false` demands an immediate singleton
-/// solve (bit-identical either way — the hint trades latency for
-/// throughput, never accuracy).
-pub const WIRE_VERSION: u8 = 4;
+/// subgraph under a keyword base-set personalization.
+///
+/// v5: the `KEYWORD` payload drops its trailing batch-hint byte; the
+/// serving engine shares Λ-collapses among concurrent keyword requests
+/// without holding any of them back.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Ceiling on a frame's payload length. Anything larger is corruption
 /// (or a peer speaking a different protocol) — no legitimate message
@@ -146,10 +145,6 @@ pub enum RpcRequest {
     Keyword {
         /// Members, base set, and solver knobs.
         params: KeywordRequest,
-        /// Batch hint: `true` lets the server coalesce this request
-        /// into a shared multi-vector solve; `false` demands an
-        /// immediate singleton solve. Answers are bit-identical.
-        coalesce: bool,
     },
 }
 
@@ -372,14 +367,12 @@ fn put_result(out: &mut Vec<u8>, r: &CachedResult) {
     }
 }
 
-/// The `KEYWORD` payload tail: everything a [`KeywordRequest`] carries
-/// plus the coalesce batch hint.
-fn put_keyword_request(out: &mut Vec<u8>, r: &KeywordRequest, coalesce: bool) {
+/// The `KEYWORD` payload tail: everything a [`KeywordRequest`] carries.
+fn put_keyword_request(out: &mut Vec<u8>, r: &KeywordRequest) {
     put_f64(out, r.damping);
     put_f64(out, r.tolerance);
     put_ids(out, &r.members);
     put_ids(out, &r.base);
-    put_bool(out, coalesce);
 }
 
 /// The shared tail of `RANK` and `SESSION_CREATE` payloads: everything a
@@ -543,21 +536,17 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn keyword_request(&mut self, what: &str) -> Result<(KeywordRequest, bool), WireError> {
+    fn keyword_request(&mut self, what: &str) -> Result<KeywordRequest, WireError> {
         let damping = self.f64(what)?;
         let tolerance = self.f64(what)?;
         let members = self.ids(what)?;
         let base = self.ids(what)?;
-        let coalesce = self.bool(what)?;
-        Ok((
-            KeywordRequest {
-                members,
-                base,
-                damping,
-                tolerance,
-            },
-            coalesce,
-        ))
+        Ok(KeywordRequest {
+            members,
+            base,
+            damping,
+            tolerance,
+        })
     }
 
     fn finish(&self, what: &str) -> Result<(), WireError> {
@@ -612,9 +601,7 @@ pub fn encode_request(trace_id: &str, tenant: &str, req: &RpcRequest) -> Vec<u8>
             put_edges(&mut out, insert);
             put_edges(&mut out, delete);
         }
-        RpcRequest::Keyword { params, coalesce } => {
-            put_keyword_request(&mut out, params, *coalesce);
-        }
+        RpcRequest::Keyword { params } => put_keyword_request(&mut out, params),
     }
     out
 }
@@ -666,10 +653,9 @@ pub fn decode_request(payload: &[u8]) -> Result<(String, String, RpcRequest), Wi
             let delete = r.edges("delete")?;
             RpcRequest::MutateGraph { insert, delete }
         }
-        opcode::KEYWORD => {
-            let (params, coalesce) = r.keyword_request("keyword")?;
-            RpcRequest::Keyword { params, coalesce }
-        }
+        opcode::KEYWORD => RpcRequest::Keyword {
+            params: r.keyword_request("keyword")?,
+        },
         other => return Err(WireError(format!("unknown opcode {other}"))),
     };
     r.finish("request")?;
@@ -982,7 +968,6 @@ mod tests {
                     damping: 0.85,
                     tolerance: 1e-10,
                 },
-                coalesce: true,
             },
             RpcRequest::Keyword {
                 params: KeywordRequest {
@@ -991,7 +976,6 @@ mod tests {
                     damping: 0.9,
                     tolerance: 1e-8,
                 },
-                coalesce: false,
             },
         ]
     }

@@ -261,9 +261,9 @@ fn metrics(state: &AppState) -> Response {
              rpc_unavailable_total {unavailable}\nrpc_health_probes_total {probes}\n",
         ));
     }
-    // Batch-scheduler counters: how much coalescing the engines actually
-    // did. Occupancy is columns per multi-vector solve — 1.0 means no
-    // batching benefit, `max_columns` means full windows.
+    // Batch-scheduler counters: how much sharing the engines actually
+    // did. Occupancy is keyword requests per Λ-collapse built — 1.0 means
+    // no request shared another's collapse.
     let batch = state.router.batch_stats();
     let occupancy = if batch.keyword_solves > 0 {
         batch.keyword_columns as f64 / batch.keyword_solves as f64
@@ -627,8 +627,8 @@ fn parse_keyword_params(state: &AppState, raw: &[u8]) -> Result<KeywordParams, (
 /// random surfer teleports to the keyword's base set instead of
 /// uniformly, and the subgraph is ranked through the same Λ-collapse as
 /// `/rank`. Answers are cached per (membership, base, damping,
-/// tolerance, graph epoch); concurrent distinct queries are coalesced
-/// into multi-vector solves by the engines' batch scheduler.
+/// tolerance, graph epoch); concurrent queries over one membership share
+/// its Λ-collapse in the engines' batch scheduler.
 fn keyword(state: &AppState, request: &Request, obs: &dyn Observer) -> Response {
     let params = match parse_keyword_params(state, &request.body) {
         Ok(p) => p,

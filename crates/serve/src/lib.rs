@@ -12,7 +12,7 @@
 //! | Route | What it does |
 //! |---|---|
 //! | `POST /rank` | Rank a member list (`approxrank`, `idealrank`, `local`, `lpr2`, `sc`); answers are cached and bit-identical to the offline CLI |
-//! | `POST /keyword` | ObjectRank keyword ranking: teleport to a base set (`"keyword"` resolved against page labels, or explicit `"base"` ids); answers cached per (membership, base, epoch), concurrent queries coalesced into multi-vector solves |
+//! | `POST /keyword` | ObjectRank keyword ranking: teleport to a base set (`"keyword"` resolved against page labels, or explicit `"base"` ids); answers cached per (membership, base, epoch), concurrent queries over one membership share its Λ-collapse |
 //! | `POST /session` | Open a long-lived [`approxrank_core::SubgraphSession`] (warm-start re-solves) |
 //! | `POST /session/{id}/update` | Add/remove pages and warm-start re-solve; invalidates cache entries for the touched memberships |
 //! | `GET /session/{id}` / `DELETE /session/{id}` | Inspect / close a session |

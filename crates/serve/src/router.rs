@@ -504,8 +504,8 @@ impl Router {
     /// cross-shard memberships fan out one sub-solve per touched shard —
     /// each solving its resident members against the **full** base set,
     /// which stays global exactly like the Λ aggregates — and merge as a
-    /// uniform mixture. The engines batch concurrent keyword queries into
-    /// multi-vector solves underneath; the router never sees that.
+    /// uniform mixture. The engines share one Λ-collapse among concurrent
+    /// keyword queries underneath; the router never sees that.
     pub fn keyword(
         &self,
         params: &KeywordRequest,

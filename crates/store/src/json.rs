@@ -156,6 +156,7 @@ fn emit_str(out: &mut String, s: &str) {
 /// Parses a JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -173,6 +174,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    /// The input, for slicing validated runs of string text.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -253,51 +256,46 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".into());
+            // Copy the run of plain bytes up to the next quote or escape
+            // in one slice: both delimiters are ASCII, so the run ends on
+            // a char boundary of the already-validated input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err("unterminated escape".into());
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not reassembled; lone
-                            // surrogates map to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!("bad escape \\{}", char::from(other)));
-                        }
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not reassembled; lone
+                    // surrogates map to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Re-scan a full UTF-8 char from the byte position.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
+                other => {
+                    return Err(format!("bad escape \\{}", char::from(other)));
                 }
             }
         }
